@@ -227,10 +227,10 @@ let analyze_cmd =
     with_telemetry telemetry @@ fun () ->
     Resource_flags.with_ctx res @@ fun ~ctx ->
     let prog, sizes = load ~workload ~file ~sizes in
-    let tiled = Poly_ir.Tiling.tile_program ~tile_size prog in
     let cm =
-      Analysis_cache.analyze_gov ~ctx ~mode:Cache_model.Model.Set_associative
-        ~apply_thread_heuristic:false ~machine tiled ~param_values:sizes
+      Analysis_cache.analyze_gov ~ctx ~tile_size
+        ~mode:Cache_model.Model.Set_associative ~apply_thread_heuristic:false
+        ~machine prog ~param_values:sizes
     in
     if json then Report.print_json (Report.json_of_cm cm)
     else Format.printf "%a@." Cache_model.Model.pp_result cm

@@ -43,12 +43,13 @@ let machine_fingerprint (m : Hwsim.Machine.t) =
     m.Hwsim.Machine.cap_switch_us;
   Buffer.contents b
 
-let cm_key ~machine ~mode ~apply_thread_heuristic ~param_values prog =
-  let scop = Poly_ir.Scop.export_isl (Poly_ir.Scop.extract prog) in
+let cm_key ?tile_size ~machine ~mode ~apply_thread_heuristic ~param_values
+    prog =
   Engine.Rcache.key
     [
       ("kind", "polyufc-cm");
-      ("scop", scop);
+      ("program", Poly_ir.Ir.fingerprint prog);
+      ("tile", match tile_size with None -> "none" | Some t -> string_of_int t);
       ("machine", machine_fingerprint machine);
       ("mode", mode_str mode);
       ("threads", string_of_bool apply_thread_heuristic);
@@ -160,9 +161,15 @@ let cm_of_json ~machine ~mode j =
   | r -> Some r
   | exception Bad_shape -> None
 
-let analyze_gov ?(ctx = Engine.Ctx.none) ~mode ~apply_thread_heuristic ~machine
-    prog ~param_values =
+let analyze_gov ?(ctx = Engine.Ctx.none) ?tile_size ?tiled ~mode
+    ~apply_thread_heuristic ~machine prog ~param_values =
   let compute () =
+    let prog =
+      match (tiled, tile_size) with
+      | Some tiled, _ -> tiled
+      | None, Some tile_size -> Poly_ir.Tiling.tile_program ~tile_size prog
+      | None, None -> prog
+    in
     (* Warm the chamber memo — and, when the context carries a result
        cache, the symbolic/v1 tier — before the model runs: a parametric
        domain decomposed here answers every later counting query at any
@@ -190,8 +197,10 @@ let analyze_gov ?(ctx = Engine.Ctx.none) ~mode ~apply_thread_heuristic ~machine
   match Engine.Ctx.cache ctx with
   | None -> compute ()
   | Some cache -> (
+    (* keyed on the untiled program: a hit never runs the tiler *)
     let key =
-      cm_key ~machine ~mode ~apply_thread_heuristic ~param_values prog
+      cm_key ?tile_size ~machine ~mode ~apply_thread_heuristic ~param_values
+        prog
     in
     match Option.bind (Engine.Rcache.find cache key) (cm_of_json ~machine ~mode) with
     | Some r -> r
@@ -203,9 +212,3 @@ let analyze_gov ?(ctx = Engine.Ctx.none) ~mode ~apply_thread_heuristic ~machine
       if r.M.fidelity = Engine.Fidelity.Exact then
         Engine.Rcache.store cache key (cm_to_json r);
       r)
-
-let analyze_cached ~cache ~mode ~apply_thread_heuristic ~machine prog
-    ~param_values =
-  analyze_gov
-    ~ctx:(Engine.Ctx.create ~cache ())
-    ~mode ~apply_thread_heuristic ~machine prog ~param_values

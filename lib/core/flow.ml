@@ -145,8 +145,10 @@ let compile ?pool ?cache ?ctx ?(objective = Search.Edp) ?(epsilon = 1e-3)
   let (cm, profile), cm_s =
     Telemetry.with_span_timed phase_cm (fun () ->
         let cm =
-          Analysis_cache.analyze_gov ~ctx ~mode ~apply_thread_heuristic:false
-            ~machine optimized ~param_values
+          Analysis_cache.analyze_gov ~ctx
+            ?tile_size:(if tile then Some tile_size else None)
+            ~tiled:optimized ~mode ~apply_thread_heuristic:false
+            ~machine prog ~param_values
         in
         (cm, Perfmodel.profile_of_cm cm))
   in

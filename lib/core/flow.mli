@@ -82,8 +82,10 @@ val compile :
     per-region characterize/estimate/search step out over the workers
     (deterministic: the result is identical to the sequential compile).
     The cache memoizes the PolyUFC-CM analysis — the dominant compile
-    cost, Table IV — in the persistent result cache, keyed by (SCoP isl
-    export, machine fingerprint, model parameters, schema version).
+    cost, Table IV — in the persistent result cache through
+    {!Analysis_cache.analyze_gov}, keyed by the untiled program and the
+    tile size, so an entry stored by [polyufc analyze] serves a compile
+    of the same program and back; the program is tiled once either way.
 
     A budget in [ctx] governs the CM phase: on exhaustion with policy
     [Interp] the degraded estimator takes over and the result carries

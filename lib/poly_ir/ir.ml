@@ -325,3 +325,54 @@ let pp ppf t =
     t.arrays;
   Format.pp_print_list pp_item ppf t.body;
   Format.fprintf ppf "@]"
+
+(* ---------- fingerprint ---------- *)
+
+(* Prefix rendering: every name is length-prefixed and every list
+   count-prefixed, so distinct programs never render alike. *)
+let fingerprint t =
+  let b = Buffer.create 1024 in
+  let tag c = Buffer.add_char b c in
+  let int i = Buffer.add_string b (string_of_int i); tag ',' in
+  let name s = int (String.length s); Buffer.add_string b s in
+  let list f l = int (List.length l); List.iter f l in
+  let coef (v, c) = name v; int c in
+  let aff a = list coef a.var_coefs; list coef a.param_coefs; int a.const in
+  let access a =
+    name a.array;
+    list aff a.indices;
+    tag (match a.kind with Read -> 'r' | Write -> 'w')
+  in
+  let rec expr = function
+    | Load a -> tag 'L'; access a
+    | Const f -> Printf.bprintf b "C%h," f
+    | Bin (op, x, y) ->
+      tag
+        (match op with
+        | Add -> '+' | Sub -> '-' | Mul -> '*' | Div -> '/'
+        | Max -> 'M' | Min -> 'm');
+      expr x;
+      expr y
+    | Neg e -> tag 'N'; expr e
+    | Sqrt e -> tag 'Q'; expr e
+    | Exp e -> tag 'E'; expr e
+  in
+  let cond c = aff c.cond_aff; tag (if c.cond_eq then '=' else '>') in
+  let rec item = function
+    | Loop l ->
+      tag 'F';
+      name l.var;
+      list aff l.lo;
+      list aff l.hi;
+      int l.step;
+      tag (if l.parallel then 'p' else 's');
+      list item l.body
+    | Stmt s -> tag 'S'; name s.stmt_name; access s.target; expr s.rhs
+    | If br -> tag 'I'; list cond br.conds; list item br.then_; list item br.else_
+  in
+  let array d = name d.array_name; list aff d.extents; int d.elem_size in
+  name t.prog_name;
+  list name t.params;
+  list array t.arrays;
+  list item t.body;
+  Buffer.contents b

@@ -135,6 +135,13 @@ val validate : t -> (unit, string) result
     declared, access ranks match declarations, variables in affine
     expressions in scope, statement names unique. *)
 
+val fingerprint : t -> string
+(** Canonical rendering of every field of the program: names, parameters,
+    array extents and element sizes, loop bounds, steps and parallel
+    marks, guards, statement names, targets and right-hand sides
+    (constants in hexadecimal, so exactly).  Programs that differ in any
+    field render differently. *)
+
 val map_items : (item -> item) -> t -> t
 (** Bottom-up rewrite of every item. *)
 

@@ -166,22 +166,10 @@ let analyze _shared ~ctx params =
   let prog, sizes = load_program params in
   let tile_size = get_int ~default:32 params "tile_size" in
   let machine = machine_of params in
-  let tiled = Poly_ir.Tiling.tile_program ~tile_size prog in
-  (* warm the chamber memo: decompose each statement domain once per
-     program shape, so repeat queries — same program, other sizes — hit
-     the process-wide memo (presburger.chamber_cache_hits) and evaluate
-     closed forms instead of re-scanning.  Best-effort: shapes the
-     chamber engine declines, or an exhausted budget, just skip it. *)
-  (try
-     let scop = Poly_ir.Scop.extract tiled in
-     List.iter
-       (fun (info : Poly_ir.Scop.stmt_info) ->
-         ignore (Presburger.Count.card_param ~ctx info.Poly_ir.Scop.domain))
-       scop.Poly_ir.Scop.stmt_infos
-   with Engine.Budget.Exhausted _ | Invalid_argument _ -> ());
   let cm =
-    Analysis_cache.analyze_gov ~ctx ~mode:Cache_model.Model.Set_associative
-      ~apply_thread_heuristic:false ~machine tiled ~param_values:sizes
+    Analysis_cache.analyze_gov ~ctx ~tile_size
+      ~mode:Cache_model.Model.Set_associative ~apply_thread_heuristic:false
+      ~machine prog ~param_values:sizes
   in
   Report.json_of_cm cm
 

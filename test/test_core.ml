@@ -347,8 +347,82 @@ let test_fleet_analyze_end_to_end () =
   | Ok back -> Alcotest.(check int) "csv round-trip" 2 (List.length back)
   | Error m -> Alcotest.failf "fleet scatter CSV refused: %s" m
 
+(* ---------- result-store key ---------- *)
+
+(* gemm with a chosen element type and an optional extra term: variants
+   that a key built from the tiled SCoP's isl export could not tell apart *)
+let gemm_variant ~elem ~extra =
+  Printf.sprintf
+    {|
+program gemm(n) {
+  arrays { A[n][n] : %s; B[n][n] : %s; C[n][n] : %s; }
+  for (i = 0; i < n; i++) {
+    for (j = 0; j < n; j++) {
+      C[i][j] = C[i][j] * 1.2;
+      for (k = 0; k < n; k++) {
+        C[i][j] = C[i][j] + 1.5 * A[i][k] * B[k][j]%s;
+      }
+    }
+  }
+}
+|}
+    elem elem elem extra
+
+let analyze_json ?cache prog =
+  Telemetry.Json.to_string
+    (Report.json_of_cm
+       (Analysis_cache.analyze_gov
+          ~ctx:(Engine.Ctx.create ?cache ())
+          ~tile_size:32 ~mode:Cache_model.Model.Set_associative
+          ~apply_thread_heuristic:false ~machine:Hwsim.Machine.bdw prog
+          ~param_values:[ ("n", 32) ]))
+
+let test_store_key_covers_program () =
+  (* torn writes would make the compile below re-store its entry *)
+  Engine.Faultsim.suspended @@ fun () ->
+  let progs =
+    List.map
+      (fun (elem, extra) -> Polylang.parse (gemm_variant ~elem ~extra))
+      [ ("f64", ""); ("f32", ""); ("f64", " + 1.0") ]
+  in
+  let fresh = List.map (fun p -> analyze_json p) progs in
+  Alcotest.(check int) "the variants analyze differently" 3
+    (List.length (List.sort_uniq compare fresh));
+  let cache =
+    Engine.Rcache.create ~dir:(Filename.temp_dir "polyufc_key_test" "") ()
+  in
+  (* the first pass stores each variant, the second is served from the
+     store: both must equal the uncached analysis *)
+  for pass = 1 to 2 do
+    List.iteri
+      (fun i (p, expected) ->
+        Alcotest.(check string)
+          (Printf.sprintf "pass %d, variant %d = uncached" pass i)
+          expected (analyze_json ~cache p))
+      (List.combine progs fresh)
+  done;
+  (* search/run share the analyze entry: a compile of a stored variant
+     finds its analysis in the store and stores nothing new *)
+  Telemetry.reset ();
+  Telemetry.enable ();
+  let c =
+    Flow.compile
+      ~ctx:(Engine.Ctx.create ~cache ())
+      ~machine:Hwsim.Machine.bdw ~rooflines:(Lazy.force consts)
+      (List.nth progs 1) ~param_values:[ ("n", 32) ]
+  in
+  let stores = Telemetry.counter_value "engine.cache.store" in
+  Telemetry.disable ();
+  Telemetry.reset ();
+  Alcotest.(check int) "compile served from the analyze entry" 0 stores;
+  Alcotest.(check string) "compile's analysis = uncached analyze"
+    (List.nth fresh 1)
+    (Telemetry.Json.to_string (Report.json_of_cm c.Flow.cm))
+
 let scatter_tests =
   [
+    Alcotest.test_case "store key covers the whole program" `Quick
+      test_store_key_covers_program;
     Alcotest.test_case "scatter point math" `Quick test_scatter_point_math;
     Alcotest.test_case "scatter CSV round-trip is bit-exact" `Quick
       test_scatter_csv_roundtrip;

@@ -411,5 +411,44 @@ let test_isl_export_reparses () =
         (Presburger.Pset.cardinality fixed))
     domains scop.Scop.stmt_infos
 
+(* The result store's key renders the program with [Ir.fingerprint]: an
+   edit to any one field must change it. *)
+let test_fingerprint_covers_fields () =
+  let fp = Ir.fingerprint in
+  Alcotest.(check string) "a rebuilt copy renders alike" (fp gemm)
+    (fp (Ir.map_items Fun.id gemm));
+  let stmts f = Ir.map_items (function Ir.Stmt s -> Ir.Stmt (f s) | it -> it) gemm in
+  let loops f = Ir.map_items (function Ir.Loop l -> Ir.Loop (f l) | it -> it) gemm in
+  let init x =
+    stmts (fun s -> if s.Ir.stmt_name = "init" then { s with Ir.rhs = Ir.Const x } else s)
+  in
+  let variants =
+    [
+      ("original", gemm);
+      ("program name", { gemm with Ir.prog_name = "gemm2" });
+      ("parameters", { gemm with Ir.params = [ "n"; "m" ] });
+      ( "element size",
+        { gemm with Ir.arrays = List.map (fun d -> { d with Ir.elem_size = 4 }) gemm.Ir.arrays } );
+      ("statement name", stmts (fun s -> { s with Ir.stmt_name = s.Ir.stmt_name ^ "'" }));
+      ("constant", init 0.1);
+      (* %g would print both as 0.1 *)
+      ("constant's last bit", init (Float.succ 0.1));
+      ("parallel mark", loops (fun l -> { l with Ir.parallel = true }));
+      ("step", loops (fun l -> { l with Ir.step = 2 }));
+    ]
+  in
+  let seen = Hashtbl.create 16 in
+  List.iter
+    (fun (what, prog) ->
+      match Hashtbl.find_opt seen (fp prog) with
+      | Some other -> Alcotest.failf "%s renders like %s" what other
+      | None -> Hashtbl.add seen (fp prog) what)
+    variants
+
 let tests =
-  tests @ [ Alcotest.test_case "isl export reparses" `Quick test_isl_export_reparses ]
+  tests
+  @ [
+      Alcotest.test_case "isl export reparses" `Quick test_isl_export_reparses;
+      Alcotest.test_case "fingerprint covers every field" `Quick
+        test_fingerprint_covers_fields;
+    ]

@@ -282,6 +282,46 @@ let test_handler_server_clamp () =
       (e.P.kind = P.Exhausted)
   | Ok _ -> Alcotest.fail "max_fuel=1 analyze cannot succeed"
 
+let test_handler_hit_does_no_presburger_work () =
+  (* a repeat analyze is a store hit looked up before tiling: it must not
+     tile, extract a SCoP or warm the chamber memo again *)
+  Engine.Faultsim.suspended @@ fun () ->
+  let cache =
+    Engine.Rcache.create ~dir:(Filename.temp_dir "polyufc_serve_hit" "") ()
+  in
+  let shared = H.create ~cache () in
+  let r =
+    {
+      P.id = J.Int 1;
+      version = 1;
+      op = P.Analyze;
+      params =
+        J.Obj
+          [
+            ("workload", J.Str "gemm");
+            ("sizes", J.Obj [ ("n", J.Int 16) ]);
+          ];
+      qos = P.default_qos;
+    }
+  in
+  let analyze () =
+    match (H.execute shared r).P.result with
+    | Ok j -> J.to_string j
+    | Error e -> Alcotest.failf "analyze refused: %s" e.P.message
+  in
+  let fm () = Telemetry.counter_value "presburger.fm_project" in
+  Telemetry.reset ();
+  Telemetry.enable ();
+  let miss = analyze () in
+  let after_miss = fm () in
+  let hit = analyze () in
+  let after_hit = fm () in
+  Telemetry.disable ();
+  Telemetry.reset ();
+  Alcotest.(check bool) "the miss projected" true (after_miss > 0);
+  Alcotest.(check int) "the hit projected nothing" after_miss after_hit;
+  Alcotest.(check string) "hit = miss" miss hit
+
 (* ---------- a live in-process daemon ---------- *)
 
 let fresh_socket =
@@ -725,6 +765,8 @@ let tests =
       test_handler_enforces_fuel;
     Alcotest.test_case "server maxima clamp unlimited clients" `Quick
       test_handler_server_clamp;
+    Alcotest.test_case "a store hit does no Presburger work" `Quick
+      test_handler_hit_does_no_presburger_work;
     Alcotest.test_case "concurrent clients get identical bytes" `Quick
       test_concurrent_clients_deterministic;
     Alcotest.test_case "queue admission rejects deterministically" `Quick
